@@ -380,11 +380,12 @@ fn strategy_bench(scale: Scale) -> String {
     let tick = MarketTick {
         now: 2_000_000,
         scan_interval: 60,
-        spot_available: true,
         drafts: Some(plan),
         fallback: Some(plan),
+        idle_spot: false,
         od_price: price(1_050),
         spot_price: Some(price(310)),
+        drafts_spot_price: None,
         quantiles: PriceQuantiles {
             q50: Some(price(300)),
             q75: Some(price(340)),

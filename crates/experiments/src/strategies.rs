@@ -27,9 +27,10 @@
 //! giving up deadline attainment.
 
 use crate::common::{Scale, REPRO_SEED};
-use provisioner::sim::ReplayConfig;
 use provisioner::workload::WorkloadConfig;
-use provisioner::{ProvisionerPolicy, StrategyOutcome, StrategyReplay, StrategyReplayConfig};
+use provisioner::{
+    ProvisionerPolicy, ReplayConfig, StrategyOutcome, StrategyReplay, StrategyReplayConfig,
+};
 use spotmarket::faults::{ShardFault, ShardFaultKind, ShardFaults};
 use spotmarket::{FaultPlan, LaunchFaults, DAY};
 use strategy::{lineup, DraftsBid};

@@ -5,9 +5,8 @@
 
 use crate::common::{Scale, REPRO_SEED};
 use backtest::report::Table;
-use provisioner::sim::{Replay, ReplayConfig};
 use provisioner::workload::WorkloadConfig;
-use provisioner::{ProvisionerPolicy, ReplayMetrics};
+use provisioner::{paper_replay, ProvisionerPolicy, ReplayConfig, ReplayMetrics};
 
 /// The replay configuration for a scale and policy.
 pub fn replay_config(scale: Scale, policy: ProvisionerPolicy, workload_index: u64) -> ReplayConfig {
@@ -35,7 +34,7 @@ pub struct Table2Output {
 pub fn run(scale: Scale) -> Table2Output {
     let rows = [ProvisionerPolicy::Original, ProvisionerPolicy::Drafts1Hr]
         .into_iter()
-        .map(|policy| (policy, Replay::new(replay_config(scale, policy, 0)).run()))
+        .map(|policy| (policy, paper_replay(replay_config(scale, policy, 0))))
         .collect();
     Table2Output { rows }
 }

@@ -5,8 +5,7 @@ use crate::common::Scale;
 use crate::table2::replay_config;
 use backtest::report::Table;
 use provisioner::metrics::AveragedMetrics;
-use provisioner::sim::Replay;
-use provisioner::{ProvisionerPolicy, ReplayMetrics};
+use provisioner::{paper_replay, ProvisionerPolicy, ReplayMetrics};
 
 /// Table 3 output: averaged metrics per policy.
 pub struct Table3Output {
@@ -34,7 +33,7 @@ pub fn run(scale: Scale) -> Table3Output {
         // different workload draw, like the paper's repeated simulator
         // runs.
         cfg.seed = cfg.seed.wrapping_add(i * 7919);
-        Replay::new(cfg).run()
+        paper_replay(cfg)
     });
     let rows = ProvisionerPolicy::ALL
         .into_iter()

@@ -7,7 +7,8 @@
 //! reused within their billed hour. The production trace is not available;
 //! [`workload`] generates populations with the documented shape (1000 jobs
 //! over 3 h 20 m of submissions, ~366 instances, few jobs over an hour) and
-//! [`sim`] replays them under three provisioning policies:
+//! [`strategy_sim`] replays them. Tables 2 and 3 run the platform's rule,
+//! [`strategy::PaperPolicy`], under three provisioning policies:
 //!
 //! * **Original** — the platform's pre-DrAFTS rule: a fixed suitable
 //!   instance type, bid = 80% of On-demand (Table 2 "Original").
@@ -16,7 +17,7 @@
 //! * **DrAFTS profiles** — like 1-hr but using each job's profiled
 //!   runtime estimate as the required durability, yielding tighter bids.
 //!
-//! [`strategy_sim`] generalizes the replay: a pluggable [`strategy`]
+//! The replay is not tied to that rule: a pluggable [`strategy`]
 //! implementation owns every launch/keep/abandon decision per scan tick,
 //! with on-demand instances, checkpoint migration, deadlines, and the
 //! advisory plane degradable by feed faults and shard faults.
@@ -25,11 +26,11 @@ pub mod job;
 pub mod metrics;
 pub mod policy;
 pub mod pool;
-pub mod sim;
 pub mod strategy_sim;
 pub mod workload;
 
 pub use metrics::ReplayMetrics;
 pub use policy::ProvisionerPolicy;
-pub use sim::{Replay, ReplayConfig};
-pub use strategy_sim::{StrategyOutcome, StrategyReplay, StrategyReplayConfig};
+pub use strategy_sim::{
+    paper_replay, ReplayConfig, StrategyOutcome, StrategyReplay, StrategyReplayConfig,
+};

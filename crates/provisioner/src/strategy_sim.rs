@@ -1,41 +1,124 @@
-//! Strategy-driven replay: a boxed [`Strategy`] owns every launch, keep
-//! and abandon decision over the virtual-time substrate.
+//! The provisioning replay (the SCRIMP-style plugin of paper §4.3): a
+//! boxed [`Strategy`] owns every launch, keep and abandon decision over
+//! the virtual-time substrate.
 //!
-//! Where [`crate::sim::Replay`] hard-codes the paper's provisioning rule
-//! (DrAFTS plan, Original fallback), this replay asks a [`Strategy`] per
-//! scan tick — for every queued job and every job riding a spot instance —
+//! Jobs queue on submission, the provisioner scans the queue on a fixed
+//! interval, reuses idle pool instances within their billed hour, requeues
+//! jobs whose instance the market revokes, and releases idle instances at
+//! the 3300 s point of their hour. At every scan the replay asks the
+//! strategy about every queued job and every job riding a spot instance,
 //! and executes whatever it answers: spot requests at the strategy's bid,
 //! on-demand launches (instances the market can never revoke), or
-//! checkpoint migrations from spot to on-demand. The advisory plane can be
-//! degraded two ways: a [`FaultPlan`] corrupts the price feeds behind the
-//! DrAFTS service (the PR 3 chaos harness), and a [`ShardFaults`] plan
-//! darkens advisory shards — combos mapped to a killed or hung shard stop
-//! answering, exactly as the sharded front would experience it.
+//! checkpoint migrations from spot to on-demand. Tables 2 and 3 run the
+//! platform's own rule, [`strategy::PaperPolicy`]; the strategy arena runs
+//! the [`strategy::lineup`]. The advisory plane can be degraded two ways:
+//! a [`FaultPlan`] corrupts the price feeds behind the DrAFTS service, and
+//! a [`ShardFaults`] plan darkens advisory shards — combos mapped to a
+//! killed or hung shard stop answering, exactly as the sharded front
+//! would experience it.
 //!
 //! On-demand instances live only in the pool: the spot simulator never
 //! sees them. They are billed at the catalog's fixed hourly price with
 //! round-up, are immune to launch faults and revocations, and release at
 //! the same 3300 s point of their billed hour as spot capacity.
+//! Everything is deterministic in the configuration.
 
-use crate::job::{suitable_types, Job};
+use crate::job::{suitable_types, Job, JobProfile};
 use crate::metrics::ReplayMetrics;
 use crate::policy::{self, ProvisionerPolicy};
 use crate::pool::{EntryKind, Pool, PoolEntry};
-use crate::sim::ReplayConfig;
-use crate::workload;
+use crate::workload::{self, WorkloadConfig};
+use drafts_core::predictor::DraftsConfig;
 use drafts_core::service::{DraftsService, ServiceConfig};
 use simrng::StreamFactory;
 use spotmarket::catalog::Catalog;
-use spotmarket::faults::ShardFaults;
+use spotmarket::faults::{ShardFaultKind, ShardFaults};
 use spotmarket::lifecycle::{InstanceId, InstanceState, TerminationReason};
 use spotmarket::simulator::{LaunchError, SpotSimulator};
 use spotmarket::tracegen::TraceConfig;
 use spotmarket::{
-    Combo, FaultPlan, FaultyFeed, Price, DAY, HOUR, MINUTE, UPDATE_PERIOD,
+    Combo, FaultPlan, FaultyFeed, LaunchFaults, Price, Region, DAY, HOUR, MINUTE, UPDATE_PERIOD,
 };
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use strategy::{Action, JobState, MarketTick, PriceQuantiles, ResourceKind, SpotPlan, Strategy};
+use strategy::{Action, JobState, MarketView, PriceQuantiles, ResourceKind, SpotPlan, Strategy};
+
+/// Replay parameters.
+#[derive(Debug, Clone)]
+pub struct ReplayConfig {
+    /// Experiment seed (markets and workload).
+    pub seed: u64,
+    /// Which workload draw to replay (Table 3 varies this per run).
+    pub workload_index: u64,
+    /// The region the platform runs in.
+    pub region: Region,
+    /// The provisioning policy: which plan strategies see as the DrAFTS
+    /// plan. Under [`ProvisionerPolicy::Original`] that is the original
+    /// rule, and the replay builds no advisory plane at all.
+    pub policy: ProvisionerPolicy,
+    /// Durability probability for the DrAFTS policies (paper: 0.99).
+    pub target_p: f64,
+    /// Offset into the price histories where the replay begins (leaves
+    /// warm-up data for the predictor).
+    pub replay_start: u64,
+    /// Price-history length in days.
+    pub history_days: u64,
+    /// Provisioner scan interval in seconds.
+    pub scan_interval: u64,
+    /// Workload shape.
+    pub workload: WorkloadConfig,
+    /// DrAFTS prediction configuration used by the service.
+    pub drafts: DraftsConfig,
+    /// Seeded launch-API faults injected into the market simulator
+    /// ([`LaunchFaults::none`] by default: the clean path).
+    pub launch_faults: LaunchFaults,
+    /// Cap on the per-job exponential backoff after transient launch
+    /// failures (throttling, insufficient capacity).
+    pub max_launch_backoff: u64,
+}
+
+impl Default for ReplayConfig {
+    fn default() -> Self {
+        Self {
+            seed: 20160428,
+            workload_index: 0,
+            region: Region::UsEast1,
+            policy: ProvisionerPolicy::Drafts1Hr,
+            target_p: 0.99,
+            replay_start: 24 * DAY,
+            history_days: 26,
+            scan_interval: 60,
+            workload: WorkloadConfig::default(),
+            drafts: DraftsConfig {
+                duration_stride: 3,
+                ..DraftsConfig::default()
+            },
+            launch_faults: LaunchFaults::none(),
+            max_launch_backoff: 15 * MINUTE,
+        }
+    }
+}
+
+impl ReplayConfig {
+    /// Validates the configuration.
+    ///
+    /// # Panics
+    /// Panics on inconsistent windows or a zero scan interval.
+    pub fn validate(&self) {
+        assert!(self.scan_interval > 0, "zero scan interval");
+        assert!(self.max_launch_backoff > 0, "zero launch backoff cap");
+        self.launch_faults.validate();
+        assert!(
+            self.replay_start < self.history_days * DAY,
+            "replay starts outside the histories"
+        );
+        assert!(
+            self.target_p > 0.0 && self.target_p < 1.0,
+            "probability must be in (0,1)"
+        );
+    }
+}
 
 /// On-demand instance ids start here — far outside the spot simulator's
 /// dense id range, so an on-demand id reaching the simulator is a bug that
@@ -62,18 +145,23 @@ pub struct StrategyReplayConfig {
 
 impl Default for StrategyReplayConfig {
     fn default() -> Self {
-        Self {
-            base: ReplayConfig {
-                policy: ProvisionerPolicy::DraftsProfiles,
-                ..ReplayConfig::default()
-            },
-            feed_faults: None,
-            shard_faults: ShardFaults::none(1),
-        }
+        Self::clean(ReplayConfig {
+            policy: ProvisionerPolicy::DraftsProfiles,
+            ..ReplayConfig::default()
+        })
     }
 }
 
 impl StrategyReplayConfig {
+    /// `base` over a healthy advisory plane: clean feeds, no shard faults.
+    pub fn clean(base: ReplayConfig) -> Self {
+        Self {
+            base,
+            feed_faults: None,
+            shard_faults: ShardFaults::none(1),
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
@@ -166,6 +254,103 @@ impl QuantileCache {
     }
 }
 
+/// The replay's [`MarketView`] for one job profile at one scan time. The
+/// plans are computed on first read and memoised for the tick, and the
+/// quantiles come from the replay-wide [`QuantileCache`]: a strategy that
+/// answers without reading the advisory fields costs no service query.
+struct ReplayTick<'a> {
+    replay: &'a StrategyReplay,
+    service: &'a DraftsService,
+    sim: RefCell<&'a mut SpotSimulator>,
+    qcache: RefCell<&'a mut QuantileCache>,
+    pool: RefCell<&'a mut Pool>,
+    profile: &'a JobProfile,
+    now: u64,
+    drafts: OnceCell<Option<SpotPlan>>,
+    fallback: OnceCell<Option<SpotPlan>>,
+}
+
+impl ReplayTick<'_> {
+    fn plan(&self, policy: ProvisionerPolicy) -> Option<SpotPlan> {
+        let cfg = &self.replay.cfg;
+        let shards = cfg.shard_faults.shards() as u64;
+        // A killed or hung advisory shard answers nothing; a slow one
+        // still answers correctly (the front marks it degraded but keeps
+        // routing to it).
+        let gate = |combo: Combo| {
+            !matches!(
+                cfg.shard_faults.active((combo.key() % shards) as usize, self.now),
+                Some(ShardFaultKind::Kill | ShardFaultKind::Hang)
+            )
+        };
+        policy::plan_gated(
+            policy,
+            self.replay.catalog,
+            self.service,
+            cfg.base.region,
+            self.profile,
+            self.now,
+            cfg.base.target_p,
+            &gate,
+        )
+    }
+}
+
+impl MarketView for ReplayTick<'_> {
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn scan_interval(&self) -> u64 {
+        self.replay.cfg.base.scan_interval
+    }
+
+    fn drafts(&self) -> Option<SpotPlan> {
+        *self
+            .drafts
+            .get_or_init(|| self.plan(self.replay.cfg.base.policy))
+    }
+
+    fn fallback(&self) -> Option<SpotPlan> {
+        *self
+            .fallback
+            .get_or_init(|| self.plan(ProvisionerPolicy::Original))
+    }
+
+    fn idle_spot(&self) -> bool {
+        self.pool
+            .borrow_mut()
+            .find_idle_kind(self.replay.catalog, self.profile, self.now, EntryKind::Spot)
+            .is_some()
+    }
+
+    fn spot_price(&self, combo: Combo) -> Option<Price> {
+        self.sim.borrow_mut().price_at(combo, self.now)
+    }
+
+    fn od_price(&self, combo: Combo) -> Price {
+        self.replay.catalog.od_price(combo.ty, combo.az.region())
+    }
+
+    fn quantiles(&self) -> PriceQuantiles {
+        match self.fallback() {
+            Some(f) => self
+                .qcache
+                .borrow_mut()
+                .get(&mut self.sim.borrow_mut(), f.combo, self.now),
+            None => PriceQuantiles::default(),
+        }
+    }
+}
+
+/// One Table 2/3 replay: `base` under the platform's own rule,
+/// [`strategy::PaperPolicy`], over a healthy advisory plane.
+pub fn paper_replay(base: ReplayConfig) -> ReplayMetrics {
+    StrategyReplay::new(StrategyReplayConfig::clean(base))
+        .run(&mut strategy::PaperPolicy)
+        .metrics
+}
+
 /// A configured strategy replay, ready to run.
 pub struct StrategyReplay {
     cfg: StrategyReplayConfig,
@@ -191,22 +376,27 @@ impl StrategyReplay {
         sim.set_launch_faults(base.launch_faults);
 
         // Every strategy sees the same advisory plane: all region combos
-        // registered, behind faulty feeds when a plan is configured.
+        // registered, behind faulty feeds when a plan is configured. The
+        // `Original` policy never consults it, so it stays empty there.
         let mut service = DraftsService::new(ServiceConfig {
             probabilities: vec![base.target_p],
             drafts: base.drafts,
+            // Half-hourly refresh keeps single-core replays tractable
+            // while staying within the spirit of the 15-minute service.
             recompute_period: 30 * MINUTE,
             ..ServiceConfig::default()
         });
-        for az in base.region.azs() {
-            for combo in self.catalog.combos_in_az(az) {
-                let history = sim.history(combo).clone();
-                match &cfg.feed_faults {
-                    Some(plan) => service.register_feed(Arc::new(FaultyFeed::new(
-                        Arc::new(history),
-                        *plan,
-                    ))),
-                    None => service.register(history),
+        if base.policy != ProvisionerPolicy::Original {
+            for az in base.region.azs() {
+                for combo in self.catalog.combos_in_az(az) {
+                    let history = sim.history(combo).clone();
+                    match &cfg.feed_faults {
+                        Some(plan) => service.register_feed(Arc::new(FaultyFeed::new(
+                            Arc::new(history),
+                            *plan,
+                        ))),
+                        None => service.register(history),
+                    }
                 }
             }
         }
@@ -295,7 +485,7 @@ impl StrategyReplay {
 
             // 4. The global observation tick: estimators ingest one
             // availability sample per scan, from the reference profile.
-            let ref_tick = self.market_tick(&mut sim, &service, &ref_profile, t, &mut qcache);
+            let ref_tick = self.tick(&service, &mut sim, &mut qcache, &mut pool, &ref_profile, t);
             strategy.observe(&ref_tick);
 
             // 5. Running-job consultations: the strategy may checkpoint a
@@ -320,7 +510,7 @@ impl StrategyReplay {
                     attempts: attempts[ji],
                     restarts: restarts[ji],
                 };
-                let tick = self.market_tick(&mut sim, &service, &job.profile, t, &mut qcache);
+                let tick = self.tick(&service, &mut sim, &mut qcache, &mut pool, &job.profile, t);
                 out.decisions += 1;
                 if matches!(
                     strategy.decide(&tick, &js),
@@ -362,7 +552,7 @@ impl StrategyReplay {
                     attempts: attempts[ji],
                     restarts: restarts[ji],
                 };
-                let tick = self.market_tick(&mut sim, &service, &job.profile, t, &mut qcache);
+                let tick = self.tick(&service, &mut sim, &mut qcache, &mut pool, &job.profile, t);
                 out.decisions += 1;
                 match strategy.decide(&tick, &js) {
                     Action::Wait => still_queued.push_back(job_id),
@@ -472,75 +662,26 @@ impl StrategyReplay {
         out
     }
 
-    /// Builds the [`MarketTick`] a strategy sees for one profile at `t`.
-    fn market_tick(
-        &self,
-        sim: &mut SpotSimulator,
-        service: &DraftsService,
-        profile: &crate::job::JobProfile,
-        t: u64,
-        qcache: &mut QuantileCache,
-    ) -> MarketTick {
-        let cfg = &self.cfg;
-        let base = &cfg.base;
-        let shards = cfg.shard_faults.shards();
-        // A killed or hung advisory shard answers nothing; a slow one
-        // still answers correctly (the front marks it degraded but keeps
-        // routing to it).
-        let gate = |combo: Combo| {
-            !matches!(
-                cfg.shard_faults.active((combo.key() % shards as u64) as usize, t),
-                Some(
-                    spotmarket::faults::ShardFaultKind::Kill
-                        | spotmarket::faults::ShardFaultKind::Hang
-                )
-            )
-        };
-        let drafts = policy::plan_gated(
-            base.policy,
-            self.catalog,
+    /// The [`MarketView`] a strategy sees for one profile at `t`.
+    fn tick<'a>(
+        &'a self,
+        service: &'a DraftsService,
+        sim: &'a mut SpotSimulator,
+        qcache: &'a mut QuantileCache,
+        pool: &'a mut Pool,
+        profile: &'a JobProfile,
+        now: u64,
+    ) -> ReplayTick<'a> {
+        ReplayTick {
+            replay: self,
             service,
-            base.region,
+            sim: RefCell::new(sim),
+            qcache: RefCell::new(qcache),
+            pool: RefCell::new(pool),
             profile,
-            t,
-            base.target_p,
-            &gate,
-        )
-        .map(|p| SpotPlan {
-            combo: p.combo,
-            bid: p.bid,
-        });
-        let fallback = policy::plan(
-            ProvisionerPolicy::Original,
-            self.catalog,
-            service,
-            base.region,
-            profile,
-            t,
-            base.target_p,
-        )
-        .map(|p| SpotPlan {
-            combo: p.combo,
-            bid: p.bid,
-        });
-        let types = suitable_types(self.catalog, profile);
-        let od_price = types
-            .first()
-            .map(|&ty| self.catalog.od_price(ty, base.region))
-            .unwrap_or(Price::MAX);
-        let (spot_price, quantiles) = match fallback {
-            Some(f) => (sim.price_at(f.combo, t), qcache.get(sim, f.combo, t)),
-            None => (None, PriceQuantiles::default()),
-        };
-        MarketTick {
-            now: t,
-            scan_interval: base.scan_interval,
-            spot_available: drafts.is_some(),
-            drafts,
-            fallback,
-            od_price,
-            spot_price,
-            quantiles,
+            now,
+            drafts: OnceCell::new(),
+            fallback: OnceCell::new(),
         }
     }
 
@@ -567,8 +708,6 @@ impl StrategyReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::WorkloadConfig;
-    use spotmarket::LaunchFaults;
     use strategy::{lineup, DraftsBid, OnDemandOnly, SpotGreedy};
 
     fn small_cfg() -> StrategyReplayConfig {
@@ -639,6 +778,148 @@ mod tests {
         let out = StrategyReplay::new(cfg).run(&mut SpotGreedy);
         assert_eq!(out.metrics.jobs_completed, 40);
         assert!(out.metrics.capacity_failures + out.metrics.throttle_failures > 0);
+    }
+
+    /// The platform rule's replay (Tables 2 and 3) at unit-test size.
+    fn paper_cfg(policy: ProvisionerPolicy) -> ReplayConfig {
+        ReplayConfig {
+            policy,
+            workload: WorkloadConfig {
+                jobs: 60,
+                span: 3000,
+                ..WorkloadConfig::default()
+            },
+            history_days: 26,
+            replay_start: 24 * DAY,
+            drafts: DraftsConfig {
+                duration_stride: 3,
+                ..DraftsConfig::default()
+            },
+            target_p: 0.95,
+            ..ReplayConfig::default()
+        }
+    }
+
+    /// Metrics in field order: instances, cost (ticks), max-bid cost
+    /// (ticks), terminations, jobs completed, makespan, requeues,
+    /// capacity failures, throttle failures, deadline misses, switches.
+    fn metrics(f: [u64; 11]) -> ReplayMetrics {
+        ReplayMetrics {
+            instances: f[0],
+            cost: Price::from_ticks(f[1]),
+            max_bid_cost: Price::from_ticks(f[2]),
+            terminations: f[3],
+            jobs_completed: f[4],
+            makespan: f[5],
+            requeues: f[6],
+            capacity_failures: f[7],
+            throttle_failures: f[8],
+            deadline_misses: f[9],
+            strategy_switches: f[10],
+        }
+    }
+
+    // The pinned values below are what the dedicated paper-rule replay
+    // engine produced before Tables 2 and 3 moved onto this replay; every
+    // field matched, except that the old engine counted no deadline
+    // misses (all of these replays have none).
+
+    #[test]
+    fn paper_replays_match_the_pinned_metrics() {
+        let orig = paper_replay(paper_cfg(ProvisionerPolicy::Original));
+        let one_hr = paper_replay(paper_cfg(ProvisionerPolicy::Drafts1Hr));
+        let profiles = paper_replay(paper_cfg(ProvisionerPolicy::DraftsProfiles));
+        assert_eq!(orig, metrics([28, 11480, 49913, 2, 60, 7200, 3, 0, 0, 0, 0]));
+        assert_eq!(one_hr, metrics([27, 9671, 21248, 0, 60, 6420, 0, 0, 0, 0, 0]));
+        assert_eq!(profiles, metrics([27, 10001, 13303, 0, 60, 6420, 0, 0, 0, 0, 0]));
+        // The headline Table 2/3 shape: DrAFTS cuts the risked cost.
+        assert!(one_hr.max_bid_cost < orig.max_bid_cost);
+        assert!(orig.max_bid_cost >= orig.cost);
+    }
+
+    #[test]
+    fn faulty_launches_still_complete_the_workload() {
+        let cfg = ReplayConfig {
+            launch_faults: LaunchFaults::with_intensity(11, 1.0),
+            ..paper_cfg(ProvisionerPolicy::Original)
+        };
+        let m = paper_replay(cfg);
+        assert_eq!(m, metrics([28, 11530, 49988, 2, 60, 7620, 12, 0, 9, 0, 0]));
+        // Transient faults requeue (and back off) rather than strand jobs.
+        assert!(m.requeues >= m.capacity_failures + m.throttle_failures);
+    }
+
+    #[test]
+    fn table3_quick_replays_match_the_pinned_metrics() {
+        // Experiment `i` of `repro table3 --quick`.
+        let cfg = |policy, i: u64| ReplayConfig {
+            seed: 20171112 + i * 7919,
+            workload_index: i,
+            policy,
+            target_p: 0.99,
+            workload: WorkloadConfig {
+                jobs: 200,
+                span: 2400,
+                ..WorkloadConfig::default()
+            },
+            ..ReplayConfig::default()
+        };
+        use ProvisionerPolicy::{Drafts1Hr, DraftsProfiles, Original};
+        for (policy, i, want) in [
+            (Original, 0, [120, 40396, 192392, 0, 200, 9000, 0, 0, 0, 0, 0]),
+            (Drafts1Hr, 0, [120, 41677, 89739, 0, 200, 9000, 0, 0, 0, 0, 0]),
+            (DraftsProfiles, 0, [120, 41309, 87414, 0, 200, 9000, 0, 0, 0, 0, 0]),
+            (Original, 1, [109, 65518, 201632, 0, 200, 11700, 0, 0, 0, 0, 0]),
+            (Drafts1Hr, 1, [109, 41682, 108746, 0, 200, 11700, 0, 0, 0, 0, 0]),
+            (DraftsProfiles, 1, [109, 42047, 108613, 0, 200, 11700, 0, 0, 0, 0, 0]),
+        ] {
+            assert_eq!(paper_replay(cfg(policy, i)), metrics(want), "{policy:?} seed {i}");
+        }
+    }
+
+    #[test]
+    fn pool_reuse_keeps_instances_below_jobs() {
+        // Bursts of short jobs must share instances within the hour.
+        let cfg = ReplayConfig {
+            workload: WorkloadConfig {
+                jobs: 80,
+                span: 2000,
+                runtime_median: 300,
+                ..WorkloadConfig::default()
+            },
+            ..paper_cfg(ProvisionerPolicy::Original)
+        };
+        let m = paper_replay(cfg);
+        assert_eq!(m.jobs_completed, 80);
+        assert!(
+            m.instances < 60,
+            "hourly reuse should pack 80 short jobs onto fewer instances, used {}",
+            m.instances
+        );
+    }
+
+    #[test]
+    fn zero_launch_faults_match_the_clean_replay() {
+        let clean = paper_replay(paper_cfg(ProvisionerPolicy::Original));
+        let gated = paper_replay(ReplayConfig {
+            launch_faults: LaunchFaults::none(),
+            max_launch_backoff: 7 * MINUTE,
+            ..paper_cfg(ProvisionerPolicy::Original)
+        });
+        assert_eq!(clean, gated, "the zero-fault plan is the clean path");
+        assert_eq!(clean.capacity_failures, 0);
+        assert_eq!(clean.throttle_failures, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay starts outside")]
+    fn rejects_bad_replay_start() {
+        ReplayConfig {
+            replay_start: 50 * DAY,
+            history_days: 10,
+            ..ReplayConfig::default()
+        }
+        .validate();
     }
 
     #[test]

@@ -1236,7 +1236,7 @@ impl Handler for FrontRouter {
                 log.record(ctx, now, "fleet-front", route.stage(), resp.status, "");
             }
         }
-        resp.extra_headers.push((obs::TRACE_HEADER, ctx.encode()));
+        resp.echo_trace(ctx);
         resp
     }
 

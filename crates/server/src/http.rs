@@ -241,6 +241,9 @@ pub struct Response {
     pub body: Vec<u8>,
     /// Extra headers (name, value) appended after the fixed set.
     pub extra_headers: Vec<(&'static str, String)>,
+    /// The trace id echoed in the `x-drafts-trace` header, if any — read
+    /// by the connection loop for the slowest-request exemplar.
+    pub trace_id: Option<u64>,
 }
 
 impl Response {
@@ -251,6 +254,7 @@ impl Response {
             content_type: "application/json",
             body: body.into_bytes(),
             extra_headers: Vec::new(),
+            trace_id: None,
         }
     }
 
@@ -261,6 +265,7 @@ impl Response {
             content_type: "text/plain; charset=utf-8",
             body: body.into_bytes(),
             extra_headers: Vec::new(),
+            trace_id: None,
         }
     }
 
@@ -272,6 +277,12 @@ impl Response {
         )])
         .render();
         Response::json(status, body)
+    }
+
+    /// Echoes `ctx` in the `x-drafts-trace` header and keeps its trace id.
+    pub fn echo_trace(&mut self, ctx: obs::TraceContext) {
+        self.extra_headers.push((obs::TRACE_HEADER, ctx.encode()));
+        self.trace_id = Some(ctx.trace_id);
     }
 
     /// The load-shed response: 503 with a `Retry-After` hint.

@@ -158,7 +158,7 @@ impl Router {
                 log.record(ctx, now, &self.instance, route.stage(), resp.status, "");
             }
         }
-        resp.extra_headers.push((obs::TRACE_HEADER, ctx.encode()));
+        resp.echo_trace(ctx);
         resp
     }
 

@@ -464,17 +464,11 @@ fn serve_connection(conn: TcpStream, shared: &Shared) {
         // families (the two-boot byte diff depends on that ordering).
         let elapsed_ns = watch.elapsed().as_nanos() as u64;
         shared.metrics.request_latency.record_ns(elapsed_ns);
-        // The router echoes the request's trace context as a response
-        // header; feed it to the slowest-request exemplar so an SLO
-        // latency breach can name the trace that ate the budget.
-        if let Some((_, enc)) = resp
-            .extra_headers
-            .iter()
-            .find(|(k, _)| *k == obs::TRACE_HEADER)
-        {
-            if let Some(ctx) = obs::TraceContext::parse(enc) {
-                shared.metrics.slowest_trace().offer(elapsed_ns, ctx.trace_id);
-            }
+        // Feed the trace the router echoed to the slowest-request
+        // exemplar, so an SLO latency breach can name the trace that ate
+        // the budget.
+        if let Some(trace_id) = resp.trace_id {
+            shared.metrics.slowest_trace().offer(elapsed_ns, trace_id);
         }
         shared.metrics.count_status(resp.status);
         // Close after this response if the client asked, the per-conn

@@ -15,8 +15,9 @@
 //! Each scan tick the replay asks the strategy to [`Strategy::decide`] for
 //! every queued job and every job running on a spot instance:
 //!
-//! * [`Action::Spot`] — (queued) request a spot instance with the given
-//!   `(combo, bid)` plan; (running on spot) keep riding.
+//! * [`Action::Spot`] — (queued) reuse a paid idle spot instance, else
+//!   request one with the given `(combo, bid)` plan; (running on spot)
+//!   keep riding.
 //! * [`Action::OnDemand`] — (queued) launch on-demand, paying the full
 //!   hourly price but gaining immunity to revocation and launch faults.
 //! * [`Action::Wait`] — (queued) stay in the queue this tick; (running)
@@ -28,19 +29,20 @@
 //! Jobs running on-demand are never asked: on-demand instances are never
 //! revoked and no strategy migrates off one.
 //!
-//! Everything a strategy may consult arrives in the [`MarketTick`] — the
+//! Everything a strategy may consult arrives through a [`MarketView`] — the
 //! advisory-plane DrAFTS plan (absent when the feed is degraded past its
 //! staleness budget or the advisory shard is dark), the platform's
-//! original fallback plan, the current spot price and trailing price
-//! quantiles of the fallback market, and the on-demand price — so
-//! strategies are pure deterministic functions of the tick stream and
-//! their own integer state. No floats, no wall clock, no RNG.
+//! original fallback plan, spot and on-demand prices per market, and
+//! trailing price quantiles of the fallback market — so strategies are
+//! pure deterministic functions of the tick stream and their own integer
+//! state. No floats, no wall clock, no RNG.
 
 pub mod estimators;
 pub mod strategies;
 
 pub use strategies::{
-    lineup, BetaBayes, DraftsBid, EmaAvailability, OnDemandOnly, Portfolio, SpotGreedy,
+    lineup, BetaBayes, DraftsBid, EmaAvailability, OnDemandOnly, PaperPolicy, Portfolio,
+    SpotGreedy,
 };
 
 use spotmarket::{Combo, Price};
@@ -71,31 +73,116 @@ pub struct PriceQuantiles {
 }
 
 /// Everything a strategy may observe at one scan tick, for one job's
-/// profile. All fields are pure functions of the virtual time and the
+/// profile. Every answer is a pure function of the virtual time and the
 /// seeded market, so replays are byte-deterministic.
+///
+/// The replay answers lazily: the advisory fields are computed on first
+/// read and memoised for the tick, so a strategy that never consults the
+/// DrAFTS plan never pays for a service query. [`MarketTick`] is the
+/// plain, eagerly filled implementation tests and benches build by hand.
+pub trait MarketView {
+    /// Virtual time of the scan.
+    fn now(&self) -> u64;
+
+    /// Seconds between scans (the decision latency a plan must absorb).
+    fn scan_interval(&self) -> u64;
+
+    /// The guaranteed DrAFTS plan (smallest guaranteed bid across the
+    /// region), when the advisory plane offers one.
+    fn drafts(&self) -> Option<SpotPlan>;
+
+    /// The platform's original rule (cheapest suitable type, first AZ,
+    /// bid = 80% of on-demand) — available regardless of the advisory
+    /// plane's health.
+    fn fallback(&self) -> Option<SpotPlan>;
+
+    /// Whether the advisory plane currently offers a guaranteed DrAFTS
+    /// plan for this profile — the availability signal the online
+    /// estimators learn from.
+    fn spot_available(&self) -> bool {
+        self.drafts().is_some()
+    }
+
+    /// Whether a paid, idle spot instance can run this job now.
+    /// [`Action::Spot`] reuses such an instance before it reads its plan,
+    /// so a strategy that rides spot regardless may skip pricing one.
+    fn idle_spot(&self) -> bool;
+
+    /// Current spot price in `combo`'s market.
+    fn spot_price(&self, combo: Combo) -> Option<Price>;
+
+    /// On-demand hourly price of `combo`'s instance type.
+    fn od_price(&self, combo: Combo) -> Price;
+
+    /// Trailing price quantiles of the fallback market.
+    fn quantiles(&self) -> PriceQuantiles;
+}
+
+/// A [`MarketView`] with every field filled in up front. It quotes two
+/// spot markets — the fallback plan's and the DrAFTS plan's — and one
+/// on-demand price for every type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarketTick {
     /// Virtual time of the scan.
     pub now: u64,
-    /// Seconds between scans (the decision latency a plan must absorb).
+    /// Seconds between scans.
     pub scan_interval: u64,
-    /// Whether the advisory plane currently offers a guaranteed DrAFTS
-    /// plan for this profile — the availability signal the online
-    /// estimators learn from.
-    pub spot_available: bool,
-    /// The guaranteed DrAFTS plan (smallest guaranteed bid across the
-    /// region), when the advisory plane offers one.
+    /// The guaranteed DrAFTS plan, when the advisory plane offers one.
     pub drafts: Option<SpotPlan>,
-    /// The platform's original rule (cheapest suitable type, first AZ,
-    /// bid = 80% of on-demand) — available regardless of the advisory
-    /// plane's health.
+    /// The platform's original fallback plan.
     pub fallback: Option<SpotPlan>,
-    /// Cheapest suitable on-demand hourly price.
+    /// Whether a paid, idle spot instance can run the job now.
+    pub idle_spot: bool,
+    /// On-demand hourly price, whatever the type.
     pub od_price: Price,
-    /// Current spot price in the fallback market.
+    /// Current spot price in the fallback plan's market.
     pub spot_price: Option<Price>,
+    /// Current spot price in the DrAFTS plan's market, when that is not
+    /// the fallback plan's market.
+    pub drafts_spot_price: Option<Price>,
     /// Trailing price quantiles of the fallback market.
     pub quantiles: PriceQuantiles,
+}
+
+impl MarketView for MarketTick {
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn scan_interval(&self) -> u64 {
+        self.scan_interval
+    }
+
+    fn drafts(&self) -> Option<SpotPlan> {
+        self.drafts
+    }
+
+    fn fallback(&self) -> Option<SpotPlan> {
+        self.fallback
+    }
+
+    fn idle_spot(&self) -> bool {
+        self.idle_spot
+    }
+
+    fn spot_price(&self, combo: Combo) -> Option<Price> {
+        let quotes = |plan: Option<SpotPlan>| plan.is_some_and(|p| p.combo == combo);
+        if quotes(self.fallback) {
+            self.spot_price
+        } else if quotes(self.drafts) {
+            self.drafts_spot_price
+        } else {
+            None
+        }
+    }
+
+    fn od_price(&self, _combo: Combo) -> Price {
+        self.od_price
+    }
+
+    fn quantiles(&self) -> PriceQuantiles {
+        self.quantiles
+    }
 }
 
 /// Where a job currently runs.
@@ -138,7 +225,8 @@ impl JobState {
 /// What the strategy wants done with one job this tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Request (or keep) a spot instance under `plan`.
+    /// Request (or keep) a spot instance under `plan`; a queued job
+    /// takes a paid idle spot instance instead when one fits.
     Spot {
         /// The market and maximum bid to request.
         plan: SpotPlan,
@@ -163,10 +251,10 @@ pub trait Strategy {
     /// Called once per scan tick with the reference-profile tick, before
     /// any [`Strategy::decide`] calls — where online estimators ingest the
     /// availability signal. Default: no state.
-    fn observe(&mut self, _tick: &MarketTick) {}
+    fn observe(&mut self, _tick: &dyn MarketView) {}
 
     /// The decision for one job this tick.
-    fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action;
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action;
 
     /// How many times the deadline backstop fired (adaptive strategies
     /// only; baselines report 0).

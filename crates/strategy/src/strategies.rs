@@ -1,13 +1,14 @@
-//! The arena lineup: the paper policy, two adaptive estimators, a
-//! portfolio contract, and the two degenerate baselines.
+//! The arena lineup — the paper policy, two adaptive estimators, a
+//! portfolio contract, and the two degenerate baselines — plus the
+//! platform's provisioning rule that Tables 2 and 3 replay.
 
 use crate::estimators::{BetaEstimator, EmaEstimator, BP};
-use crate::{Action, JobState, MarketTick, ResourceKind, SpotPlan, Strategy};
+use crate::{Action, JobState, MarketView, ResourceKind, SpotPlan, Strategy};
 use spotmarket::Price;
 
 /// Rejected launch attempts before a strategy stops re-submitting the
-/// same bid (the replay escalates Original-style bids in the same spot,
-/// see `provisioner::sim`).
+/// same bid: [`PaperPolicy`] and the spot-riding strategies escalate it
+/// through [`escalate`], [`DraftsBid`] routes the job to on-demand.
 const ESCALATE_AFTER: u32 = 3;
 
 /// Profile-error margin applied to runtime estimates when sizing the
@@ -34,24 +35,59 @@ const BASE_BUFFER: u64 = 600;
 /// on-demand and finish by its deadline. Low estimated availability
 /// widens the buffer, bailing out earlier on markets the estimator has
 /// learned to distrust.
-fn panic_now(tick: &MarketTick, job: &JobState, avail_bp: u64) -> bool {
-    let escape = job.est_total * EST_MARGIN_BP / BP + 3 * tick.scan_interval;
+fn panic_now(tick: &dyn MarketView, job: &JobState, avail_bp: u64) -> bool {
+    let escape = job.est_total * EST_MARGIN_BP / BP + 3 * tick.scan_interval();
     let buffer = BASE_BUFFER + job.est_total * (BP - avail_bp.min(BP)) / BP;
-    job.time_left(tick.now) <= escape + buffer
+    job.time_left(tick.now()) <= escape + buffer
 }
 
-/// Original-style bid escalation after repeated market rejections: 1.5×
-/// the current price, capped at 2× on-demand (mirrors the policy replay).
-fn escalate(plan: SpotPlan, tick: &MarketTick, attempts: u32) -> SpotPlan {
+/// Bid escalation after repeated market rejections: 1.5× the current
+/// price of the plan's own market, capped at 2× the on-demand price of
+/// the plan's type, never below the plan's bid.
+fn escalate(plan: SpotPlan, tick: &dyn MarketView, attempts: u32) -> SpotPlan {
     if attempts < ESCALATE_AFTER {
         return plan;
     }
-    let Some(price) = tick.spot_price else {
+    let Some(price) = tick.spot_price(plan.combo) else {
         return plan;
     };
+    let od = tick.od_price(plan.combo);
     SpotPlan {
         combo: plan.combo,
-        bid: price.scale(1.5).min(tick.od_price.scale(2.0)).max(plan.bid) + Price::TICK,
+        bid: price.scale(1.5).min(od.scale(2.0)).max(plan.bid) + Price::TICK,
+    }
+}
+
+/// The platform's provisioning rule of paper §4.3 (Tables 2 and 3): run
+/// the DrAFTS plan (the plan the replay's policy selects) and fall back
+/// to the original rule when the advisory plane offers none; escalate
+/// the bid after repeated rejections. Never on-demand, never a switch:
+/// running jobs ride on.
+#[derive(Debug, Default)]
+pub struct PaperPolicy;
+
+impl Strategy for PaperPolicy {
+    fn name(&self) -> &'static str {
+        "paper_policy"
+    }
+
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action {
+        if job.running_on.is_some() {
+            return Action::Wait;
+        }
+        // A paid idle spot instance takes the job whatever the plan says,
+        // so only a launch needs the (costly) DrAFTS plan.
+        let plan = if tick.idle_spot() {
+            tick.fallback().or_else(|| tick.drafts())
+        } else {
+            tick.drafts().or_else(|| tick.fallback())
+        };
+        match plan {
+            Some(plan) => Action::Spot {
+                plan: escalate(plan, tick, job.attempts),
+            },
+            None => Action::Wait,
+        }
     }
 }
 
@@ -69,11 +105,11 @@ impl Strategy for DraftsBid {
         "drafts_bid"
     }
 
-    fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action {
         if job.running_on.is_some() {
             return Action::Wait;
         }
-        match tick.drafts {
+        match tick.drafts() {
             Some(plan) if job.attempts < ESCALATE_AFTER => Action::Spot { plan },
             _ => Action::OnDemand,
         }
@@ -114,7 +150,7 @@ impl Default for EmaAvailability {
 /// fires, otherwise gamble on spot (guaranteed plan first, fallback plan
 /// second).
 fn adaptive_decide(
-    tick: &MarketTick,
+    tick: &dyn MarketView,
     job: &JobState,
     avail_bp: u64,
     panics: &mut u64,
@@ -132,7 +168,7 @@ fn adaptive_decide(
     if job.running_on.is_some() {
         return Action::Wait;
     }
-    match tick.drafts.or(tick.fallback) {
+    match tick.drafts().or_else(|| tick.fallback()) {
         Some(plan) => Action::Spot {
             plan: escalate(plan, tick, job.attempts),
         },
@@ -145,11 +181,11 @@ impl Strategy for EmaAvailability {
         "ema_availability"
     }
 
-    fn observe(&mut self, tick: &MarketTick) {
-        self.est.observe(tick.spot_available);
+    fn observe(&mut self, tick: &dyn MarketView) {
+        self.est.observe(tick.spot_available());
     }
 
-    fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action {
         adaptive_decide(tick, job, self.est.availability_bp(), &mut self.panics)
     }
 
@@ -193,11 +229,11 @@ impl Strategy for BetaBayes {
         "beta_bayes"
     }
 
-    fn observe(&mut self, tick: &MarketTick) {
-        self.est.observe(tick.spot_available);
+    fn observe(&mut self, tick: &dyn MarketView) {
+        self.est.observe(tick.spot_available());
     }
 
-    fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action {
         adaptive_decide(tick, job, self.est.availability_bp(), &mut self.panics)
     }
 
@@ -251,22 +287,23 @@ impl Strategy for Portfolio {
         "portfolio"
     }
 
-    fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action {
         if job.running_on.is_some() {
             return Action::Wait;
         }
         if self.on_demand_leg(job.id) {
             return Action::OnDemand;
         }
-        let Some(fallback) = tick.fallback else {
+        let Some(fallback) = tick.fallback() else {
             return Action::OnDemand;
         };
         // Spot leg: bid at the ECDF's 95th percentile, clamped to the
         // on-demand ceiling; before the window fills, the fallback bid.
+        let od = tick.od_price(fallback.combo);
         let bid = tick
-            .quantiles
+            .quantiles()
             .q95
-            .map_or(fallback.bid, |q| q.max(Price::TICK).min(tick.od_price));
+            .map_or(fallback.bid, |q| q.max(Price::TICK).min(od));
         let plan = SpotPlan {
             combo: fallback.combo,
             bid,
@@ -287,7 +324,7 @@ impl Strategy for OnDemandOnly {
         "ondemand_only"
     }
 
-    fn decide(&mut self, _tick: &MarketTick, job: &JobState) -> Action {
+    fn decide(&mut self, _tick: &dyn MarketView, job: &JobState) -> Action {
         if job.running_on.is_some() {
             Action::Wait
         } else {
@@ -307,11 +344,11 @@ impl Strategy for SpotGreedy {
         "spot_greedy"
     }
 
-    fn decide(&mut self, tick: &MarketTick, job: &JobState) -> Action {
+    fn decide(&mut self, tick: &dyn MarketView, job: &JobState) -> Action {
         if job.running_on.is_some() {
             return Action::Wait;
         }
-        match tick.fallback {
+        match tick.fallback() {
             Some(plan) => Action::Spot {
                 plan: escalate(plan, tick, job.attempts),
             },
@@ -335,6 +372,7 @@ pub fn lineup() -> Vec<Box<dyn Strategy>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MarketTick;
     use spotmarket::{Az, Catalog, Combo};
 
     fn plan(bid_ticks: u64) -> SpotPlan {
@@ -352,11 +390,12 @@ mod tests {
         MarketTick {
             now,
             scan_interval: 60,
-            spot_available: drafts.is_some(),
             drafts,
             fallback,
+            idle_spot: false,
             od_price: Price::from_ticks(1_050),
             spot_price: Some(Price::from_ticks(300)),
+            drafts_spot_price: None,
             quantiles: crate::PriceQuantiles {
                 q50: Some(Price::from_ticks(280)),
                 q75: Some(Price::from_ticks(320)),
@@ -483,6 +522,59 @@ mod tests {
         // 1.5 × spot price 300 = 450 (+1 tick), above the 840-tick plan?
         // No: max(450, 840) + 1 = 841.
         assert_eq!(p.bid, Price::from_ticks(841));
+    }
+
+    /// A plan in us-east-1c — a different market from [`plan`]'s.
+    fn other_market_plan(bid_ticks: u64) -> SpotPlan {
+        SpotPlan {
+            combo: Combo::new(Az::parse("us-east-1c").unwrap(), plan(0).combo.ty),
+            ..plan(bid_ticks)
+        }
+    }
+
+    #[test]
+    fn escalation_prices_the_plans_own_market() {
+        // The DrAFTS plan sits in another market than the fallback: its
+        // escalation must read that market's price (600), not the
+        // fallback market's (300).
+        let mut t = tick(Some(other_market_plan(700)), Some(plan(840)), 0);
+        t.drafts_spot_price = Some(Price::from_ticks(600));
+        let escalated = escalate(other_market_plan(700), &t, ESCALATE_AFTER);
+        // max(1.5 × 600, 700) + 1 tick; the 2 × 1050 cap does not bind.
+        assert_eq!(escalated, other_market_plan(901));
+        // The fallback plan still escalates off its own market's price.
+        assert_eq!(escalate(plan(400), &t, ESCALATE_AFTER), plan(451));
+        // An unquoted market leaves the plan as it is.
+        t.drafts_spot_price = None;
+        assert_eq!(
+            escalate(other_market_plan(700), &t, ESCALATE_AFTER),
+            other_market_plan(700)
+        );
+    }
+
+    #[test]
+    fn paper_policy_rides_drafts_then_the_fallback() {
+        let mut s = PaperPolicy;
+        let job = queued(3_000, 900); // deadlines do not move the paper rule
+        let lit = tick(Some(other_market_plan(700)), Some(plan(840)), 0);
+        assert_eq!(
+            s.decide(&lit, &job),
+            Action::Spot {
+                plan: other_market_plan(700)
+            }
+        );
+        let dark = tick(None, Some(plan(840)), 0);
+        assert_eq!(s.decide(&dark, &job), Action::Spot { plan: plan(840) });
+        assert_eq!(s.decide(&tick(None, None, 0), &job), Action::Wait);
+        // A paid idle instance will take the job: no DrAFTS query, the
+        // (moot) plan is the original rule's.
+        let mut idle = tick(Some(other_market_plan(700)), Some(plan(840)), 0);
+        idle.idle_spot = true;
+        assert_eq!(s.decide(&idle, &job), Action::Spot { plan: plan(840) });
+        // Running jobs ride on.
+        let mut running = job;
+        running.running_on = Some(ResourceKind::Spot);
+        assert_eq!(s.decide(&lit, &running), Action::Wait);
     }
 
     #[test]

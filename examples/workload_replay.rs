@@ -9,9 +9,8 @@
 //! ```
 //! (number of jobs; default 150)
 
-use drafts::platform::sim::{Replay, ReplayConfig};
 use drafts::platform::workload::WorkloadConfig;
-use drafts::platform::ProvisionerPolicy;
+use drafts::platform::{paper_replay, ProvisionerPolicy, ReplayConfig};
 
 fn main() {
     let jobs: usize = std::env::args()
@@ -33,7 +32,7 @@ fn main() {
             },
             ..ReplayConfig::default()
         };
-        let m = Replay::new(cfg).run();
+        let m = paper_replay(cfg);
         println!(
             "{:<20} {:>9} {:>10} {:>14} {:>13} {:>8}m",
             policy.label(),

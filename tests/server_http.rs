@@ -559,8 +559,18 @@ fn injected_outage_sweep_flips_slos_to_breach_with_events_in_the_ring() {
 
 #[test]
 fn debug_trace_route_serves_the_span_journal() {
-    // Journal off: the route 404s even with debug routes enabled.
+    // The request-level exemplar: after one request, the slowest trace is
+    // the one the response echoed in its header.
     let plain = start_debug(82, ServerConfig::default());
+    let raw = String::from_utf8(raw_get(plain.addr(), "/v1/health")).unwrap();
+    let echoed = raw
+        .lines()
+        .find_map(|l| l.strip_prefix("x-drafts-trace: "))
+        .expect("trace header echoed");
+    let ctx = obs::TraceContext::parse(echoed).expect("well-formed trace header");
+    assert_eq!(plain.metrics().slowest_trace().slowest().1, ctx.trace_id);
+
+    // Journal off: the route 404s even with debug routes enabled.
     let mut client = Client::new(plain.addr(), Duration::from_secs(5));
     let (status, _) = client.get("/v1/_debug/trace").expect("trace get");
     assert_eq!(status, 404, "journal disabled must 404");

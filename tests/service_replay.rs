@@ -7,9 +7,8 @@ use drafts::core::service::{DraftsService, ServiceConfig};
 use drafts::market::archetype::Archetype;
 use drafts::market::tracegen::{generate_with_archetype, TraceConfig};
 use drafts::market::{Az, Catalog, Combo, DAY, MINUTE};
-use drafts::platform::sim::{Replay, ReplayConfig};
 use drafts::platform::workload::WorkloadConfig;
-use drafts::platform::ProvisionerPolicy;
+use drafts::platform::{paper_replay, ProvisionerPolicy, ReplayConfig};
 
 #[test]
 fn service_graphs_drive_bids_that_survive_replay() {
@@ -23,8 +22,8 @@ fn service_graphs_drive_bids_that_survive_replay() {
         },
         ..ReplayConfig::default()
     };
-    let original = Replay::new(cfg(ProvisionerPolicy::Original)).run();
-    let drafts = Replay::new(cfg(ProvisionerPolicy::Drafts1Hr)).run();
+    let original = paper_replay(cfg(ProvisionerPolicy::Original));
+    let drafts = paper_replay(cfg(ProvisionerPolicy::Drafts1Hr));
 
     assert_eq!(original.jobs_completed, 80);
     assert_eq!(drafts.jobs_completed, 80);

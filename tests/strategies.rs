@@ -3,9 +3,8 @@
 
 use drafts::market::faults::ShardFaults;
 use drafts::market::FaultPlan;
-use drafts::platform::sim::ReplayConfig;
 use drafts::platform::workload::WorkloadConfig;
-use drafts::platform::{ProvisionerPolicy, StrategyReplay, StrategyReplayConfig};
+use drafts::platform::{ProvisionerPolicy, ReplayConfig, StrategyReplay, StrategyReplayConfig};
 use drafts::rng::{Rng, StreamFactory};
 use drafts::strategy::estimators::{BetaEstimator, BP};
 use drafts::strategy::lineup;
