@@ -56,36 +56,67 @@ pub fn duration_series(
     stride: usize,
     censoring: Censoring,
 ) -> Vec<u64> {
+    let mut out = Vec::new();
+    duration_series_into(history, upto, bid, stride, censoring, &mut out);
+    out
+}
+
+/// [`duration_series`] written into `out` (cleared first), so a caller
+/// walking a bid grid reuses one buffer.
+///
+/// One right-to-left pass over `[0, upto]` carries the time of the
+/// nearest later update whose price reaches the bid, so every start
+/// point's crossing costs O(1) rather than a search.
+///
+/// # Panics
+/// Panics if `upto` is out of bounds or `stride` is zero.
+pub(crate) fn duration_series_into(
+    history: &PriceHistory,
+    upto: usize,
+    bid: Price,
+    stride: usize,
+    censoring: Censoring,
+    out: &mut Vec<u64>,
+) {
     assert!(upto < history.len(), "upto {upto} out of bounds");
     assert!(stride > 0, "stride must be positive");
     if let Censoring::Capped(cap) = censoring {
         assert!(cap > 0, "cap must be positive");
     }
     let times = history.series().times();
+    let prices = history.series().values();
+    let bid = bid.ticks();
     let horizon = times[upto];
-    let mut out = Vec::with_capacity(upto / stride + 1);
-    let mut i = 0usize;
-    while i <= upto {
-        let crossing = match history.first_at_or_after_geq(i + 1, bid) {
-            Some(j) if j <= upto => Some(times[j] - times[i]),
-            _ => None,
-        };
-        let window = horizon - times[i];
-        match (censoring, crossing) {
-            (Censoring::IncludeElapsed, Some(d)) => out.push(d),
-            (Censoring::IncludeElapsed, None) => out.push(window),
-            (Censoring::ResolvedOnly, Some(d)) => out.push(d),
-            (Censoring::ResolvedOnly, None) => {}
-            (Censoring::Capped(cap), Some(d)) => out.push(d.min(cap)),
-            (Censoring::Capped(cap), None) => {
-                if window >= cap {
-                    out.push(cap);
+    out.clear();
+    out.reserve(upto / stride + 1);
+    // The next start point to emit, walking down from the last one.
+    let mut start = Some(upto - upto % stride);
+    // Time of the first update after `i` (and at most `upto`) whose price
+    // reaches the bid.
+    let mut next_crossing: Option<u64> = None;
+    for i in (0..=upto).rev() {
+        if start == Some(i) {
+            let crossing = next_crossing.map(|t| t - times[i]);
+            let window = horizon - times[i];
+            match (censoring, crossing) {
+                (Censoring::IncludeElapsed, Some(d)) => out.push(d),
+                (Censoring::IncludeElapsed, None) => out.push(window),
+                (Censoring::ResolvedOnly, Some(d)) => out.push(d),
+                (Censoring::ResolvedOnly, None) => {}
+                (Censoring::Capped(cap), Some(d)) => out.push(d.min(cap)),
+                (Censoring::Capped(cap), None) => {
+                    if window >= cap {
+                        out.push(cap);
+                    }
                 }
             }
+            start = i.checked_sub(stride);
         }
-        i += stride;
+        if prices[i] >= bid {
+            next_crossing = Some(times[i]);
+        }
     }
-    out
+    out.reverse();
 }
 
 /// Incremental resolver: streams price updates and resolves pending

@@ -38,29 +38,52 @@ impl BidDurationGraph {
     /// no grid point's duration series supports a bound either. Points
     /// whose duration series cannot support a bound are skipped.
     pub fn compute(predictor: &DraftsPredictor<'_>, upto: usize, probability: f64) -> Option<Self> {
-        let min = predictor.min_bid_or_max(upto, probability);
-        let mut points = Vec::new();
-        for bid in predictor.bid_grid(min) {
-            if let Some(durability_secs) = predictor.durability(upto, bid, probability) {
-                points.push(GraphPoint {
-                    bid,
-                    durability_secs,
-                });
-            }
-        }
-        // Enforce monotone durations (rounding on the shared grid can
-        // produce equal neighbours; durations are theoretically monotone
-        // in bid, so take the running maximum defensively).
-        let mut best = 0u64;
-        for p in &mut points {
-            best = best.max(p.durability_secs);
-            p.durability_secs = best;
-        }
-        (!points.is_empty()).then_some(Self {
-            probability,
-            computed_at: 0,
-            points,
-        })
+        Self::compute_levels(predictor, upto, &[probability])
+            .pop()
+            .flatten()
+    }
+
+    /// [`Self::compute`] at every level of `probabilities`, in order: one
+    /// step-1 price pass serves all levels, and one duration buffer serves
+    /// every grid bid.
+    pub fn compute_levels(
+        predictor: &DraftsPredictor<'_>,
+        upto: usize,
+        probabilities: &[f64],
+    ) -> Vec<Option<Self>> {
+        let prices = predictor.price_pass(upto);
+        let mut buf = Vec::new();
+        probabilities
+            .iter()
+            .map(|&probability| {
+                let min = predictor.min_bid_or_max_from(&prices, upto, probability);
+                let mut points = Vec::new();
+                for bid in predictor.bid_grid(min) {
+                    if let Some(durability_secs) =
+                        predictor.durability_in(upto, bid, probability, &mut buf)
+                    {
+                        points.push(GraphPoint {
+                            bid,
+                            durability_secs,
+                        });
+                    }
+                }
+                // Enforce monotone durations (rounding on the shared grid
+                // can produce equal neighbours; durations are theoretically
+                // monotone in bid, so take the running maximum
+                // defensively).
+                let mut best = 0u64;
+                for p in &mut points {
+                    best = best.max(p.durability_secs);
+                    p.durability_secs = best;
+                }
+                (!points.is_empty()).then_some(Self {
+                    probability,
+                    computed_at: 0,
+                    points,
+                })
+            })
+            .collect()
     }
 
     /// The graph points, ascending in bid.

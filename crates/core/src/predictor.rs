@@ -17,9 +17,10 @@
 //! "using square roots strikes a good balance between keeping a bid low
 //! ... and yielding a usable duration."
 
-use crate::duration::{duration_series, Censoring};
+use crate::duration::{duration_series_into, Censoring};
 use spotmarket::{Price, PriceHistory};
 use tsforecast::changepoint::ChangePointConfig;
+use tsforecast::qbets::batch_lower_bound;
 use tsforecast::{BoundEstimator, Qbets, QbetsConfig};
 
 /// DrAFTS tuning parameters.
@@ -140,15 +141,34 @@ impl<'a> DraftsPredictor<'a> {
     /// stationary segment) is too short for a bound at the configured
     /// confidence.
     pub fn min_bid(&self, upto: usize, p: f64) -> Option<Price> {
+        Self::min_bid_from(&self.price_pass(upto), p)
+    }
+
+    /// The step-1 price QBETS state at update index `upto`: one pass over
+    /// the price prefix, which every probability level then queries.
+    pub(crate) fn price_pass(&self, upto: usize) -> Qbets {
         let _span = obs::span("qbets_price");
-        let q = Self::step_quantile(p);
         assert!(upto < self.history.len(), "upto out of range");
-        let mut qbets = Qbets::new(self.cfg.qbets_config());
-        for &v in &self.history.series().values()[..=upto] {
-            qbets.observe(v);
-        }
-        let bound = qbets.upper_bound(q)?;
+        Qbets::from_history(
+            self.cfg.qbets_config(),
+            &self.history.series().values()[..=upto],
+        )
+    }
+
+    /// [`Self::min_bid`] read from a finished price pass.
+    fn min_bid_from(prices: &Qbets, p: f64) -> Option<Price> {
+        let bound = prices.upper_bound(Self::step_quantile(p))?;
         Some(Price::from_ticks(bound) + Price::TICK)
+    }
+
+    /// The largest price observed up to `upto`.
+    fn max_seen(&self, upto: usize) -> Price {
+        let max = self.history.series().values()[..=upto]
+            .iter()
+            .copied()
+            .max()
+            .expect("non-empty prefix");
+        Price::from_ticks(max)
     }
 
     /// Like [`Self::min_bid`], but falling back to one tick above the
@@ -157,14 +177,12 @@ impl<'a> DraftsPredictor<'a> {
     /// cold-start/fresh-segment behaviour (QBETS assumes the bound is
     /// contained in the observed series, §3.2).
     pub fn min_bid_or_max(&self, upto: usize, p: f64) -> Price {
-        self.min_bid(upto, p).unwrap_or_else(|| {
-            let max_seen = self.history.series().values()[..=upto]
-                .iter()
-                .copied()
-                .max()
-                .expect("non-empty prefix");
-            Price::from_ticks(max_seen) + Price::TICK
-        })
+        self.min_bid_or_max_from(&self.price_pass(upto), upto, p)
+    }
+
+    /// [`Self::min_bid_or_max`] read from a finished price pass.
+    pub(crate) fn min_bid_or_max_from(&self, prices: &Qbets, upto: usize, p: f64) -> Price {
+        Self::min_bid_from(prices, p).unwrap_or_else(|| self.max_seen(upto) + Price::TICK)
     }
 
     /// Step 2: the durability (seconds) of `bid` at update index `upto`
@@ -175,25 +193,38 @@ impl<'a> DraftsPredictor<'a> {
     /// [`Censoring::IncludeElapsed`] its tail is a deterministic downward
     /// ramp (recent start points have only their elapsed time), which a
     /// median-run detector would misread as a perpetual level shift and
-    /// truncate away the whole informative history.
+    /// truncate away the whole informative history. That also makes the
+    /// bound a batch order statistic ([`batch_lower_bound`]) — the same
+    /// value a streaming [`Qbets`] fed the series would report, without
+    /// building one per bid.
     pub fn durability(&self, upto: usize, bid: Price, p: f64) -> Option<u64> {
+        self.durability_in(upto, bid, p, &mut Vec::new())
+    }
+
+    /// [`Self::durability`] with the duration series built in `buf`, so a
+    /// walk over the bid grid reuses one buffer.
+    pub(crate) fn durability_in(
+        &self,
+        upto: usize,
+        bid: Price,
+        p: f64,
+        buf: &mut Vec<u64>,
+    ) -> Option<u64> {
         let _span = obs::span("qbets_duration");
         let q = Self::step_quantile(p);
-        let series = duration_series(
+        duration_series_into(
             self.history,
             upto,
             bid,
             self.cfg.duration_stride,
             self.cfg.censoring,
+            buf,
         );
-        let mut qbets = Qbets::new(QbetsConfig {
+        let cfg = QbetsConfig {
             changepoint: None,
             ..self.cfg.qbets_config()
-        });
-        for &d in &series {
-            qbets.observe(d);
-        }
-        qbets.lower_bound(1.0 - q)
+        };
+        batch_lower_bound(&cfg, buf, 1.0 - q)
     }
 
     /// The minimum-bid prediction with its durability.
@@ -237,8 +268,21 @@ impl<'a> DraftsPredictor<'a> {
     /// §3.3). `None` if even the grid ceiling cannot guarantee it.
     pub fn bid_for_duration(&self, upto: usize, p: f64, required_secs: u64) -> Option<BidPrediction> {
         let min = self.min_bid(upto, p)?;
+        self.walk_grid(upto, p, min, required_secs)
+    }
+
+    /// The grid walk of [`Self::bid_for_duration`] from a known minimum
+    /// bid.
+    fn walk_grid(
+        &self,
+        upto: usize,
+        p: f64,
+        min: Price,
+        required_secs: u64,
+    ) -> Option<BidPrediction> {
+        let mut buf = Vec::new();
         for bid in self.bid_grid(min) {
-            if let Some(d) = self.durability(upto, bid, p) {
+            if let Some(d) = self.durability_in(upto, bid, p, &mut buf) {
                 if d >= required_secs {
                     return Some(BidPrediction {
                         bid: bid.scale(1.0 + self.cfg.safety_margin),
@@ -259,23 +303,21 @@ impl<'a> DraftsPredictor<'a> {
     /// conservative cold-start (QBETS assumes the bound is contained in
     /// the observed series, §3.2).
     pub fn bid_quote(&self, upto: usize, p: f64, required_secs: u64) -> BidQuote {
-        if let Some(bp) = self.bid_for_duration(upto, p, required_secs) {
-            return BidQuote {
-                bid: bp.bid,
-                durability_secs: Some(bp.durability_secs),
-            };
-        }
         let bid = match self.min_bid(upto, p) {
-            Some(min) => min.scale(self.cfg.grid_span),
+            Some(min) => {
+                if let Some(bp) = self.walk_grid(upto, p, min, required_secs) {
+                    return BidQuote {
+                        bid: bp.bid,
+                        durability_secs: Some(bp.durability_secs),
+                    };
+                }
+                min.scale(self.cfg.grid_span)
+            }
+            // Cold start / fresh segment: everything seen plus real
+            // headroom (4 safety margins) against continued drift.
             None => {
-                // Cold start / fresh segment: everything seen plus real
-                // headroom (4 safety margins) against continued drift.
-                let max_seen = self.history.series().values()[..=upto]
-                    .iter()
-                    .copied()
-                    .max()
-                    .expect("non-empty prefix");
-                Price::from_ticks(max_seen).scale(1.0 + 4.0 * self.cfg.safety_margin)
+                self.max_seen(upto)
+                    .scale(1.0 + 4.0 * self.cfg.safety_margin)
                     + Price::TICK
             }
         };
@@ -498,6 +540,23 @@ mod tests {
             .expect("a calm market must offer a 6-hour guarantee on the grid");
         assert!(long.bid >= min.bid);
         assert!(long.durability_secs >= 6 * 3600);
+    }
+
+    #[test]
+    fn fallback_quote_runs_one_price_pass() {
+        // Regression: the fallback path used to rerun the full step-1
+        // QBETS pass `bid_for_duration` had just made.
+        let h = make_history(Archetype::Calm, 30, 5);
+        let pred = DraftsPredictor::new(&h, no_cp());
+        let upto = h.len() - 1;
+        let tracer = obs::Tracer::new(obs::Registry::new());
+        let quote = {
+            let _ambient = tracer.install();
+            pred.bid_quote(upto, 0.95, u64::MAX)
+        };
+        assert_eq!(quote.durability_secs, None, "no grid bid covers u64::MAX");
+        assert_eq!(quote.bid, pred.min_bid(upto, 0.95).unwrap().scale(4.0));
+        assert_eq!(tracer.stage_stats("qbets_price").total.count(), 1);
     }
 
     /// The headline backtest property in miniature: at p = 0.9, DrAFTS

@@ -873,12 +873,12 @@ impl DraftsService {
             let upto = history.series().index_at(bucket_time)?;
             let covered_until = history.time(upto);
             let predictor = DraftsPredictor::new(&history, self.cfg.drafts);
-            let mut graphs = Vec::new();
-            for &p in &self.cfg.probabilities {
-                if let Some(g) = BidDurationGraph::compute(&predictor, upto, p) {
-                    graphs.push(g.with_timestamp(bucket_time));
-                }
-            }
+            let graphs =
+                BidDurationGraph::compute_levels(&predictor, upto, &self.cfg.probabilities)
+                    .into_iter()
+                    .flatten()
+                    .map(|g| g.with_timestamp(bucket_time))
+                    .collect();
             self.computes.inc();
             Some((Arc::new(ComboGraphs { graphs }), covered_until))
         });

@@ -32,7 +32,9 @@
 use crate::common::Scale;
 use crate::{fleet, profile, serve, strategies};
 use bench::timing::{black_box, Harness, Measurement};
+use drafts_core::service::ServiceConfig;
 use drafts_core::snapshot::Swap;
+use drafts_core::{BidDurationGraph, DraftsPredictor};
 use loadgen::Kind;
 use obs::{Counter, Histogram, TraceContext, TraceLog, WindowSet};
 use server::{http, Metrics, Router};
@@ -451,7 +453,8 @@ fn strategy_bench(scale: Scale) -> String {
 }
 
 /// The QBETS-kernel trajectory: the paper's §3.3 claim that batch
-/// rebuilds are slow while warm state updates incrementally.
+/// rebuilds are slow while warm state updates incrementally, plus the
+/// cost of one combo's bucket roll on the bid–duration kernel.
 fn qbets_bench() -> String {
     let history = bench::bench_history();
     let values: Vec<u64> = history.series().values().to_vec();
@@ -473,30 +476,69 @@ fn qbets_bench() -> String {
         warm_q.observe(black_box(12_345));
         black_box(warm_q.segment_len())
     });
+    // The warm query is anchored at q = 0.95: the final segment (271
+    // points) keeps too small an effective size after the
+    // autocorrelation correction for a 0.99-confidence bound at q = 0.975
+    // (182 needed), which would time the insufficient-data early return;
+    // at q = 0.95 the timing covers the order-statistic lookup.
     let q = Qbets::from_history(QbetsConfig::default(), &values);
     let warm = h.bench("warm_upper_bound_query", || {
-        black_box(q.upper_bound(black_box(0.975)))
+        black_box(q.upper_bound(black_box(WARM_QUANTILE)))
     });
+
+    // One served combo's cold bucket build at every published level: the
+    // predictor, one price pass and both graphs — what each combo of a
+    // shard costs when its bucket rolls.
+    let plan = serve::plan(Scale::Paper);
+    let roll_history = serve::combo_history(0, plan.combos[0]);
+    let drafts = serve::drafts_config(Scale::Paper);
+    let levels = ServiceConfig::default().probabilities;
+    let upto = roll_history
+        .series()
+        .index_at(plan.now)
+        .expect("serve history covers the plan's now");
+    let build = || {
+        let predictor = DraftsPredictor::new(&roll_history, drafts);
+        BidDurationGraph::compute_levels(&predictor, upto, &levels)
+    };
+    let bucket_roll = h.bench("bucket_roll", || black_box(build()));
 
     let det: Vec<(&str, String)> = vec![
         ("history_len", values.len().to_string()),
         ("history_checksum", format!("\"{checksum:016x}\"")),
         ("segment_len", q.segment_len().to_string()),
         (
-            "upper_bound_p975",
-            // `None` (not enough mass at the quantile under QBETS's
-            // confidence requirement) renders as JSON null — still a
-            // deterministic function of the seeded history.
-            q.upper_bound(0.975)
-                .map_or("null".to_string(), |v| v.to_string()),
+            "upper_bound_p95",
+            q.upper_bound(WARM_QUANTILE)
+                .expect("the anchor segment supports a bound at q = 0.95")
+                .to_string(),
+        ),
+        (
+            "bucket_graph_digest",
+            format!("\"{:016x}\"", graph_digest(&build())),
         ),
     ];
     let wall: Vec<(&str, String)> = vec![
         ("batch_rebuild_ns", ns(batch)),
         ("incremental_observe_ns", ns(incremental)),
         ("warm_upper_bound_query_ns", ns(warm)),
+        ("bucket_roll_ns", ns(bucket_roll)),
     ];
     render("qbets", &det, &wall)
+}
+
+/// Quantile of the warm upper-bound query anchor.
+const WARM_QUANTILE: f64 = 0.95;
+
+/// FNV-1a over the rendered points of every built graph, in level order.
+fn graph_digest(graphs: &[Option<BidDurationGraph>]) -> u64 {
+    graphs
+        .iter()
+        .flatten()
+        .flat_map(|g| g.to_csv().into_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// One-paragraph human summary for stdout.
@@ -536,9 +578,15 @@ mod tests {
         ] {
             assert!(out.serve_json.contains(key), "missing {key}");
         }
-        for key in ["history_checksum", "batch_rebuild_ns", "upper_bound_p975"] {
+        for key in [
+            "history_checksum", "batch_rebuild_ns", "upper_bound_p95",
+            "bucket_graph_digest", "bucket_roll_ns",
+        ] {
             assert!(out.qbets_json.contains(key), "missing {key}");
         }
+        // The warm-query anchor has a bound, so its timing covers the
+        // order-statistic lookup rather than the early return.
+        assert!(!out.qbets_json.contains("null"), "{}", out.qbets_json);
         for key in ["ring_checksum", "proxy_graphs_ns", "proxy_bid_ns", "proxy_health_ns"] {
             assert!(out.fleet_json.contains(key), "missing {key}");
         }

@@ -34,15 +34,10 @@ pub fn run() -> Figure4Output {
     // levels regularly — the knee of the paper's April 2016 graph comes
     // from exactly such crossings.
     let upto = history.series().index_at(25 * DAY).expect("inside history");
-    // The two probability levels are independent full-grid computations;
-    // map them in parallel (input order is preserved, so the output is
-    // identical to the old serial filter_map).
-    let graphs = parallel::par_map(&[0.95, 0.99], |&p| {
-        BidDurationGraph::compute(&predictor, upto, p)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let graphs = BidDurationGraph::compute_levels(&predictor, upto, &[0.95, 0.99])
+        .into_iter()
+        .flatten()
+        .collect();
     Figure4Output { combo, graphs }
 }
 

@@ -28,7 +28,7 @@ use server::{DrainReport, Router, Server, ServerConfig};
 use simrng::StreamFactory;
 use spotmarket::archetype::Archetype;
 use spotmarket::tracegen::{generate_with_archetype, TraceConfig};
-use spotmarket::{Az, Catalog, Combo, DAY};
+use spotmarket::{Az, Catalog, Combo, PriceHistory, DAY};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -119,30 +119,39 @@ pub fn plan(scale: Scale) -> ServePlan {
     }
 }
 
+/// The prediction configuration the served instance runs at `scale`.
+pub(crate) fn drafts_config(scale: Scale) -> DraftsConfig {
+    DraftsConfig {
+        changepoint: None,
+        autocorr: false,
+        duration_stride: scale.pick(6, 2),
+        ..DraftsConfig::default()
+    }
+}
+
+/// The seeded price history of the plan's `i`-th combo.
+pub(crate) fn combo_history(i: usize, combo: Combo) -> PriceHistory {
+    let archetype = match i % 3 {
+        0 => Archetype::Choppy,
+        1 => Archetype::Calm,
+        _ => Archetype::Spiky,
+    };
+    generate_with_archetype(
+        combo,
+        Catalog::standard(),
+        &TraceConfig::days(30, SERVE_SEED ^ (i as u64 + 1)),
+        archetype,
+    )
+}
+
 /// Builds the multi-combo service the server fronts.
 pub fn build_service(combos: &[Combo], scale: Scale) -> DraftsService {
-    let catalog = Catalog::standard();
     let mut svc = DraftsService::new(ServiceConfig {
-        drafts: DraftsConfig {
-            changepoint: None,
-            autocorr: false,
-            duration_stride: scale.pick(6, 2),
-            ..DraftsConfig::default()
-        },
+        drafts: drafts_config(scale),
         ..ServiceConfig::default()
     });
     for (i, &combo) in combos.iter().enumerate() {
-        let archetype = match i % 3 {
-            0 => Archetype::Choppy,
-            1 => Archetype::Calm,
-            _ => Archetype::Spiky,
-        };
-        svc.register(generate_with_archetype(
-            combo,
-            catalog,
-            &TraceConfig::days(30, SERVE_SEED ^ (i as u64 + 1)),
-            archetype,
-        ));
+        svc.register(combo_history(i, combo));
     }
     svc
 }

@@ -5,10 +5,12 @@
 //!
 //! * `price_at(t)` — the market price in effect at `t` (step semantics),
 //! * `first_at_or_after_geq(i, bid)` — the first update index `>= i` whose
-//!   price is `>=` the bid. This powers the DrAFTS duration step ("the
-//!   duration from when the prediction is made until the market price
-//!   exceeds it", §3.2) and backtest survival checks; it is answered in
-//!   O(log n) by a max segment tree built once over the immutable history.
+//!   price is `>=` the bid. This powers survival checks ("the duration
+//!   from when the prediction is made until the market price exceeds it",
+//!   §3.2); it is answered in O(log n) by a max segment tree built once
+//!   over the immutable history. (The DrAFTS duration step needs the
+//!   crossing of *every* start point at once, which one right-to-left
+//!   pass answers cheaper; see `drafts_core::duration`.)
 //!
 //! Termination semantics: the paper notes Amazon "may or may not" terminate
 //! an instance whose bid exactly equals the market price (§3.2) — DrAFTS

@@ -16,12 +16,18 @@
 //! moments), which is what makes the on-line DrAFTS service viable
 //! (paper §3.3: "the predictor state can be updated incrementally (in a few
 //! milliseconds)").
+//!
+//! [`batch_lower_bound`] is the same lower bound over a whole series at
+//! once (no change-point truncation): one pass of running moments and one
+//! selection instead of a treap insert per value. DrAFTS step 2 builds a
+//! fresh duration series per candidate bid and reads one order statistic
+//! from it, so it has no use for state that outlives the query.
 
 use crate::changepoint::ChangePointConfig;
 use crate::estimator::{BoundEstimator, SegmentState};
 use crate::orderstat::OrderStat;
 use crate::quantile_bound;
-use crate::stats;
+use crate::stats::{self, RunningLag1};
 
 /// QBETS tuning parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +79,50 @@ impl QbetsConfig {
             cp.validate();
         }
     }
+
+    /// Effective size of an `n`-observation segment: `n` itself, or its
+    /// Bartlett shrinkage under the segment's (capped) lag-1
+    /// autocorrelation, which `rho` computes only when the correction is
+    /// on.
+    fn effective_len(&self, n: usize, rho: impl FnOnce() -> f64) -> usize {
+        if !self.autocorr_correction {
+            return n;
+        }
+        stats::effective_sample_size(n, rho().min(self.autocorr_cap))
+    }
+
+    /// 1-based ascending rank, within an `n`-observation segment, of the
+    /// lower `confidence` bound on the `q`-quantile; `None` when the
+    /// effective sample is too small for one.
+    fn lower_rank(&self, n: usize, rho: impl FnOnce() -> f64, q: f64) -> Option<usize> {
+        let n_eff = self.effective_len(n, rho);
+        let j_eff = quantile_bound::lower_bound_index(n_eff, q, self.confidence)?;
+        Some(quantile_bound::scale_index_to_sample(j_eff, n_eff, n))
+    }
+}
+
+/// [`Qbets::lower_bound`] after feeding all of `series` (chronological
+/// order) into a fresh estimator, computed in one pass without the
+/// estimator: running lag-1 moments for the effective sample size, then
+/// one selection for the order statistic. `series` is reordered in place.
+///
+/// Exact only without change-point truncation, so `cfg.changepoint` must
+/// be `None`.
+///
+/// # Panics
+/// Panics on an invalid configuration or one with change-point detection.
+pub fn batch_lower_bound(cfg: &QbetsConfig, series: &mut [u64], q: f64) -> Option<u64> {
+    cfg.validate();
+    assert!(
+        cfg.changepoint.is_none(),
+        "batch_lower_bound has no change-point truncation"
+    );
+    let j = cfg.lower_rank(
+        series.len(),
+        || RunningLag1::from_slice(series).lag1_autocorr(),
+        q,
+    )?;
+    Some(*series.select_nth_unstable(j - 1).1)
 }
 
 /// Online QBETS estimator.
@@ -114,12 +164,8 @@ impl Qbets {
     /// Effective sample size of the current segment after autocorrelation
     /// compensation.
     pub fn effective_len(&self) -> usize {
-        let n = self.state.len();
-        if !self.cfg.autocorr_correction {
-            return n;
-        }
-        let rho = self.state.lag1().lag1_autocorr().min(self.cfg.autocorr_cap);
-        stats::effective_sample_size(n, rho)
+        self.cfg
+            .effective_len(self.state.len(), || self.state.lag1().lag1_autocorr())
     }
 
     /// Upper bound like [`BoundEstimator::upper_bound`], but falling back to
@@ -151,10 +197,9 @@ impl BoundEstimator for Qbets {
     }
 
     fn lower_bound(&self, q: f64) -> Option<u64> {
-        let n = self.state.len();
-        let n_eff = self.effective_len();
-        let j_eff = quantile_bound::lower_bound_index(n_eff, q, self.cfg.confidence)?;
-        let j = quantile_bound::scale_index_to_sample(j_eff, n_eff, n);
+        let j = self
+            .cfg
+            .lower_rank(self.state.len(), || self.state.lag1().lag1_autocorr(), q)?;
         self.state.multiset().kth_smallest(j)
     }
 
@@ -348,6 +393,47 @@ mod tests {
         q.reset();
         assert_eq!(q.observed(), 0);
         assert_eq!(q.upper_bound(0.975), None);
+    }
+
+    #[test]
+    fn batch_lower_bound_equals_the_streaming_estimator() {
+        let mut rng = Xoshiro256pp::seed_from_u64(7);
+        for case in 0..60 {
+            let n = rng.next_below(3000) as usize;
+            let mut x = 0u64;
+            let series: Vec<u64> = (0..n)
+                .map(|_| {
+                    // Random walks (strongly autocorrelated) and i.i.d. draws.
+                    x = if case % 2 == 0 {
+                        x + rng.next_below(50)
+                    } else {
+                        rng.next_below(50)
+                    };
+                    x
+                })
+                .collect();
+            let cfg = QbetsConfig {
+                changepoint: None,
+                autocorr_correction: case % 3 != 0,
+                autocorr_cap: [0.3, 0.9][case % 2],
+                ..QbetsConfig::default()
+            };
+            let streaming = Qbets::from_history(cfg, &series);
+            for q in [0.005, 0.025, 0.05, 0.5] {
+                let mut scratch = series.clone();
+                assert_eq!(
+                    batch_lower_bound(&cfg, &mut scratch, q),
+                    streaming.lower_bound(q),
+                    "case {case} n {n} q {q}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "change-point")]
+    fn batch_lower_bound_rejects_change_point_detection() {
+        batch_lower_bound(&QbetsConfig::default(), &mut [1, 2, 3], 0.5);
     }
 
     /// End-to-end calibration check: predict an upper bound on the next
